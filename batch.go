@@ -142,7 +142,7 @@ func (b *Batch) Submit() ([]int, error) {
 			if ready {
 				break
 			}
-			if err := q.processOne(true); err != nil {
+			if err := q.processOne(); err != nil {
 				return b.slot, err
 			}
 		}
@@ -213,7 +213,7 @@ func (b *Batch) submitWait(wait *int, firstErr *error, cb Completion) error {
 		return err
 	}
 	for *wait > 0 {
-		if err := q.processOne(true); err != nil {
+		if err := q.processOne(); err != nil {
 			return err
 		}
 	}

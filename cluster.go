@@ -235,8 +235,12 @@ func (c *Cluster) Reachable(a, b int) bool {
 func (c *Cluster) Transport() fabric.Transport { return c.ic }
 
 // Close shuts the fabric and all locally hosted RMC pipelines down.
-// Outstanding operations are abandoned; Close blocks until all pipeline
-// goroutines exit.
+// Outstanding operations are abandoned — every goroutine blocked in a QP
+// call returns ErrClusterClosed — and Close blocks until all pipeline
+// goroutines exit. Closing the transport stops every RMC at once (each
+// forwards the transport's Done into its own stop path), so a pipeline
+// stalled in a handler delays Close itself but not the release of callers
+// on the other nodes.
 func (c *Cluster) Close() {
 	c.ic.Close()
 	for _, n := range c.nodes {

@@ -80,6 +80,10 @@
 //     nothing.
 //
 // Completions travel the reverse path: the RMC posts CQ entries and kicks
-// the QP's completion doorbell; the application side spin-polls briefly
-// before parking on it (QP.Poll / DrainCQ / the synchronous operations).
+// the QP's completion doorbell; the application side polls the CQ a few
+// times and then parks on that doorbell alone (DrainCQ / WaitForSlot / the
+// synchronous operations). Every wait on the path is on a channel owned by
+// one RMC, which is what a synchronous single-line remote read costs here:
+// about 5 µs with both nodes issuing on a 2-vCPU host, 3.7 µs alone
+// (benchmark/run.sh, rmc_small; ARCHITECTURE.md, "who wakes whom").
 package sonuma

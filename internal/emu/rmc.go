@@ -29,9 +29,6 @@ type Config struct {
 	// PollBudget bounds WQ entries consumed per QP per scheduling pass,
 	// so one busy QP cannot starve others.
 	PollBudget int
-	// SpinCount is how many empty passes the RGP/RCP pipeline makes
-	// before parking on its doorbell.
-	SpinCount int
 	// BatchSize is the number of line transactions the RGP packs into
 	// one fabric batch per destination (default proto.MaxBatch, clamped
 	// to [1, proto.MaxBatch]). 1 selects the per-packet data path, kept
@@ -51,6 +48,20 @@ type Config struct {
 
 const maxITT = 4096
 
+// idleSpins is how many consecutive empty passes a wait loop makes before it
+// parks: the RGP/RCP pipeline over its WQs and lanes, an application over
+// its CQ (WaitCQ). Whoever the spinner waits for is another goroutine of
+// the same process, so on a host with no idle core every empty pass delays
+// the very wake-up it is waiting for: on the 2-vCPU development box
+// rmc_small does 415 k ops/s at 2 passes, 375 k at 8, 343 k at 16, 295 k at
+// 32 and 1.2× the pre-PR-14 rate at the previous 128 (RGP/RCP) / 64 (CQ).
+// 16 and not 2 because a pipeline that parks at once is bound by nothing
+// but the host's momentary core speed and the runtime's scheduler lock,
+// and its throughput wanders with both: from one run to the next the
+// middle half of rmc_small spread 23 k ops/s at 2 passes and 13 k at 16 —
+// see CHANGES.md, PR 14, for the sweep.
+const idleSpins = 16
+
 func (c Config) withDefaults() Config {
 	if c.ITTEntries <= 0 {
 		c.ITTEntries = 1024
@@ -69,9 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PollBudget <= 0 {
 		c.PollBudget = 32
-	}
-	if c.SpinCount <= 0 {
-		c.SpinCount = 128
 	}
 	if c.BatchSize <= 0 || c.BatchSize > proto.MaxBatch {
 		c.BatchSize = proto.MaxBatch
@@ -156,22 +164,47 @@ type QPState struct {
 	Ctx *ContextState
 	WQ  *qpring.WQ
 	CQ  *qpring.CQ
-	// CQDoorbell is kicked (non-blocking) whenever a completion is
-	// posted, so waiters can park instead of spinning indefinitely.
+	// CQDoorbell is kicked (non-blocking) whenever a completion is posted
+	// and once when the RMC stops, so WaitCQ can park on it alone.
 	CQDoorbell chan struct{}
+	parks      uint64 // times WaitCQ blocked on CQDoorbell (owner goroutine only)
 	rmc        *RMC
+}
+
+// WaitCQ returns the QP's next completion: it polls the CQ (the paper's
+// applications poll the completion queue) and, after idleSpins empty polls,
+// parks on CQDoorbell. ok is false once the RMC has stopped and nothing is
+// pending. The stop check sits between the poll and the park, and RMC.stop
+// kicks the doorbell after closing stopped, so a stop can not be missed.
+func (qp *QPState) WaitCQ() (e qpring.CQEntry, ok bool) {
+	for idle := 0; ; {
+		if e, ok = qp.CQ.Poll(); ok {
+			return e, true
+		}
+		if idle++; idle < idleSpins {
+			continue
+		}
+		if qp.rmc.isStopped() {
+			return e, false
+		}
+		qp.parks++
+		<-qp.CQDoorbell
+		idle = 0
+	}
+}
+
+func (qp *QPState) kickCQ() {
+	select {
+	case qp.CQDoorbell <- struct{}{}:
+	default:
+	}
 }
 
 // Doorbell wakes the RGP after a WQ post (the hardware analogue is the RMC
 // noticing the cached WQ tail change; the channel makes parking efficient).
 // Applications posting a burst of WQ entries ring it once for the burst
 // (doorbell coalescing).
-func (qp *QPState) Doorbell() {
-	select {
-	case qp.rmc.doorbell <- struct{}{}:
-	default:
-	}
-}
+func (qp *QPState) Doorbell() { qp.rmc.Doorbell() }
 
 // ittEntry tracks one in-flight WQ request (§4.2: "the ITT ... keeps track
 // of the progress of each WQ request", indexed by tid).
@@ -233,9 +266,13 @@ type RMC struct {
 	txdirty   []core.NodeID
 	txpending []bool
 
+	// Every channel a pipeline goroutine or an application parks on
+	// belongs to this RMC alone; the transport's Done() reaches them
+	// through stop (see the fabric.Transport contract for why).
 	doorbell chan struct{}
 	control  chan ctrlEvent // failed node/link notifications
-	stopped  chan struct{}
+	stopped  chan struct{}  // closed by stop
+	stopOnce sync.Once
 	wg       sync.WaitGroup
 
 	cbMu          sync.Mutex
@@ -286,33 +323,38 @@ func NewRMC(id core.NodeID, ic fabric.Transport, cfg Config) *RMC {
 	}
 	empty := []*QPState{}
 	r.qps.Store(&empty)
-	ic.Watch(func(failed core.NodeID, epoch uint64) {
+	notify := func(ev ctrlEvent) {
 		select {
-		case r.control <- ctrlEvent{node: failed, epoch: epoch}:
-		case <-ic.Done():
+		case r.control <- ev:
+		case <-r.stopped:
 		}
+	}
+	ic.Watch(func(failed core.NodeID, epoch uint64) {
+		notify(ctrlEvent{node: failed, epoch: epoch})
 	})
 	ic.WatchRestore(func(restored core.NodeID, epoch uint64) {
-		select {
-		case r.control <- ctrlEvent{node: restored, restore: true, epoch: epoch}:
-		case <-ic.Done():
-		}
+		notify(ctrlEvent{node: restored, restore: true, epoch: epoch})
 	})
 	ic.WatchLink(func(a, b core.NodeID, epoch uint64) {
-		select {
-		case r.control <- ctrlEvent{node: a, linkTo: b, isLink: true, epoch: epoch}:
-		case <-ic.Done():
-		}
+		notify(ctrlEvent{node: a, linkTo: b, isLink: true, epoch: epoch})
 	})
 	ic.WatchLinkRestore(func(a, b core.NodeID, epoch uint64) {
-		select {
-		case r.control <- ctrlEvent{node: a, linkTo: b, isLink: true, restore: true, epoch: epoch}:
-		case <-ic.Done():
-		}
+		notify(ctrlEvent{node: a, linkTo: b, isLink: true, restore: true, epoch: epoch})
 	})
-	r.wg.Add(2)
+	r.wg.Add(3)
 	go r.runRGPRCP()
 	go r.runRRPP()
+	// The one waiter on the transport's Done(): parked for the RMC's whole
+	// life, it forwards a transport that dies on its own (a ProcFabric
+	// closed under a live cluster) into the stop path.
+	go func() {
+		defer r.wg.Done()
+		select {
+		case <-ic.Done():
+			r.stop()
+		case <-r.stopped:
+		}
+	}()
 	return r
 }
 
@@ -436,14 +478,37 @@ func (r *RMC) Doorbell() {
 	}
 }
 
-// Close stops the pipelines. The interconnect must be closed first (or
-// concurrently); Close blocks until both pipeline goroutines exit.
-func (r *RMC) Close() {
+// stop is the shutdown path: it closes stopped — which releases the RRPP's
+// park and either pipeline's out-of-credits wait — then rings the doorbell
+// the RGP/RCP parks on and every QP's CQDoorbell, so each waiter re-checks
+// stopped. A QP registered after the snapshot sees stopped before it can
+// park.
+func (r *RMC) stop() {
+	r.stopOnce.Do(func() {
+		close(r.stopped)
+		r.Doorbell()
+		for _, qp := range *r.qps.Load() {
+			qp.kickCQ()
+		}
+	})
+}
+
+// isStopped polls stopped; a non-blocking receive on an open channel takes
+// no lock.
+func (r *RMC) isStopped() bool {
 	select {
 	case <-r.stopped:
+		return true
 	default:
-		close(r.stopped)
+		return false
 	}
+}
+
+// Close stops the pipelines and blocks until their goroutines exit;
+// applications parked in WaitCQ are released. Closing the transport stops
+// the RMC too.
+func (r *RMC) Close() {
+	r.stop()
 	r.wg.Wait()
 }
 
@@ -453,19 +518,20 @@ func (r *RMC) Close() {
 func (r *RMC) runRGPRCP() {
 	defer r.wg.Done()
 	replies := r.ic.Replies(r.id)
-	idle := 0
-	sweepEvery := r.cfg.OpTimeout / 4
-	sweepAt := time.Now().Add(sweepEvery)
-	passes := 0
-	for {
+	// One ticker for the pipeline's life paces the op-timeout sweep; a
+	// timer per park would be garbage on every idle moment.
+	sweep := time.NewTicker(r.cfg.OpTimeout / 4)
+	defer sweep.Stop()
+	for idle, passes := 0, 0; !r.isStopped(); passes++ {
 		worked := false
-		// Time out lost in-flight requests. Checked on a coarse cadence:
-		// every 1024 busy passes here, and from the park select below, so
-		// both a busy and an idle pipeline bound a lost reply's wait.
-		if passes++; passes&1023 == 0 {
-			if now := time.Now(); now.After(sweepAt) {
-				sweepAt = now.Add(sweepEvery)
-				r.sweepOpTimeouts(now)
+		// Time out lost in-flight requests. The tick is taken here every
+		// 1024 busy passes and from the park select below, so both a busy
+		// and an idle pipeline bound a lost reply's wait.
+		if passes&1023 == 1023 {
+			select {
+			case <-sweep.C:
+				r.sweepOpTimeouts()
+			default:
 			}
 		}
 		// RCP: drain all pending reply batches first; completions free
@@ -500,26 +566,20 @@ func (r *RMC) runRGPRCP() {
 			idle = 0
 			continue
 		}
-		idle++
-		if idle < r.cfg.SpinCount {
+		if idle++; idle < idleSpins {
 			continue
 		}
-		// Park until any work signal arrives, waking on the sweep cadence
-		// so a lost reply still times out while the pipeline is idle.
+		// Park until any work signal arrives — stop rings the doorbell —
+		// waking on the sweep cadence so a lost reply still times out
+		// while the pipeline is idle.
 		select {
 		case rb := <-replies:
 			r.processReplies(rb)
 		case ev := <-r.control:
 			r.handleControl(ev)
 		case <-r.doorbell:
-		case <-time.After(sweepEvery):
-			now := time.Now()
-			sweepAt = now.Add(sweepEvery)
-			r.sweepOpTimeouts(now)
-		case <-r.stopped:
-			return
-		case <-r.ic.Done():
-			return
+		case <-sweep.C:
+			r.sweepOpTimeouts()
 		}
 		idle = 0
 	}
@@ -531,7 +591,11 @@ func (r *RMC) runRGPRCP() {
 // side can observe the loss, but a reply dropped by the PEER's side of a
 // link (reconnect lag after a process restart) leaves no local trace, and
 // without a bound a sync caller blocks forever.
-func (r *RMC) sweepOpTimeouts(now time.Time) {
+func (r *RMC) sweepOpTimeouts() {
+	if len(r.ittFree) == len(r.itt) {
+		return // nothing in flight
+	}
+	now := time.Now()
 	for idx := range r.itt {
 		ent := &r.itt[idx]
 		if ent.active && now.Sub(ent.issuedAt) > r.cfg.OpTimeout {
@@ -691,7 +755,8 @@ func (r *RMC) queueRequest(pkt *proto.Packet, replies <-chan *proto.Batch) {
 // flushDst sends the batch pending toward dst, if any. On fabric failure it
 // completes every transaction with a line in the batch with
 // StatusNodeFailure (replies already in flight are discarded by the
-// generation check) and recycles the batch.
+// generation check) and recycles the batch. On shutdown it completes
+// nothing: stop releases the waiters, and they report the close.
 func (r *RMC) flushDst(dst int, replies <-chan *proto.Batch) {
 	b := r.txq[dst]
 	if b == nil {
@@ -699,9 +764,11 @@ func (r *RMC) flushDst(dst int, replies <-chan *proto.Batch) {
 	}
 	r.txq[dst] = nil
 	lines := uint64(b.Len()) // before the send: success forfeits ownership
-	if err := r.sendDraining(b, replies); err != nil {
-		for _, pkt := range b.Packets() {
-			r.failTid(pkt.Tid, core.StatusNodeFailure)
+	if err := r.send(b, replies); err != nil {
+		if err != fabric.ErrClosed {
+			for _, pkt := range b.Packets() {
+				r.failTid(pkt.Tid, core.StatusNodeFailure)
+			}
 		}
 		proto.FreeBatchPackets(b)
 		return
@@ -722,31 +789,36 @@ func (r *RMC) flushAll(replies <-chan *proto.Batch) {
 	r.txdirty = r.txdirty[:0]
 }
 
-// sendDraining injects a request batch, continuing to drain the reply lane
-// while the destination lane is out of credits. Selecting on the lane send
-// and the reply lane together avoids both deadlock (request/reply cycles)
-// and lost wakeups (waiting for a reply that will never come because
-// nothing of ours is in flight).
-func (r *RMC) sendDraining(b *proto.Batch, replies <-chan *proto.Batch) error {
+// send injects a batch into its destination lane: one non-blocking send
+// while the lane has credits, and only when it is out of them a wait on the
+// lane, stopped and drain together. The RGP passes its own reply lane as
+// drain and keeps completing replies while it waits, which avoids both
+// deadlock (request/reply cycles) and lost wakeups (waiting for a reply
+// that will never come because nothing of ours is in flight); the RRPP
+// passes nil, because reply lanes always drain.
+func (r *RMC) send(b *proto.Batch, drain <-chan *proto.Batch) error {
 	// Statistics must be captured before the send: a delivered batch is
 	// owned (and may already be recycled) by the receiver.
-	packets, wire := b.Len(), b.WireSize()
+	kind, packets, wire := b.Kind(), b.Len(), b.WireSize()
 	for {
-		lane, err := r.ic.LaneFor(proto.KindRequest, r.id, b.Dst())
+		lane, err := r.ic.LaneFor(kind, r.id, b.Dst())
 		if err != nil {
 			return err
 		}
 		select {
 		case lane <- b:
-			r.ic.Account(proto.KindRequest, packets, wire)
-			return nil
-		case rb := <-replies:
-			r.processReplies(rb)
-		case <-r.stopped:
-			return fabric.ErrClosed
-		case <-r.ic.Done():
-			return fabric.ErrClosed
+		default:
+			select {
+			case lane <- b:
+			case rb := <-drain:
+				r.processReplies(rb)
+				continue
+			case <-r.stopped:
+				return fabric.ErrClosed
+			}
 		}
+		r.ic.Account(kind, packets, wire)
+		return nil
 	}
 }
 
@@ -950,10 +1022,7 @@ func (r *RMC) complete(qp *QPState, wqIdx uint32, status core.Status) {
 		// surface it loudly rather than dropping a completion.
 		panic("emu: completion queue overflow")
 	}
-	select {
-	case qp.CQDoorbell <- struct{}{}:
-	default:
-	}
+	qp.kickCQ()
 }
 
 // ---------------------------------------------------------------------------
@@ -967,8 +1036,6 @@ func (r *RMC) runRRPP() {
 		case b := <-requests:
 			r.processRequests(b)
 		case <-r.stopped:
-			return
-		case <-r.ic.Done():
 			return
 		}
 	}
@@ -1006,7 +1073,7 @@ func (r *RMC) processRequests(b *proto.Batch) {
 // requester became unreachable the batch is dropped (its RMC flushes the
 // transactions via the ITT).
 func (r *RMC) sendReplies(rb *proto.Batch) {
-	if err := r.ic.SendBatch(rb); err != nil {
+	if err := r.send(rb, nil); err != nil {
 		proto.FreeBatchPackets(rb)
 	}
 }

@@ -269,6 +269,31 @@ func TestLinkFailureAndRestore(t *testing.T) {
 	}
 }
 
+// TestLinkStateAcrossOverlappingFailures walks the down-link count that
+// gates routeUp's lock-free path through overlapping failures: a route must
+// stay down until its own link is restored, and the count must return to
+// zero so a healed fabric is back on the fast path.
+func TestLinkStateAcrossOverlappingFailures(t *testing.T) {
+	ic := NewInterconnect(NewCrossbar(4), 4)
+	defer ic.Close()
+	ic.FailLink(0, 3)
+	ic.FailLinkDirected(1, 2)
+	ic.RestoreLink(0, 3)
+	if !ic.Reachable(0, 3) {
+		t.Fatal("0<->3 still down after its restore")
+	}
+	if ic.Reachable(1, 2) || ic.Reachable(2, 1) {
+		t.Fatal("1->2 came back with another link's restore")
+	}
+	ic.RestoreLink(1, 2)
+	if !ic.Reachable(1, 2) {
+		t.Fatal("1<->2 still down after its restore")
+	}
+	if n := ic.linksDown.Load(); n != 0 {
+		t.Fatalf("%d links counted down on a healed fabric", n)
+	}
+}
+
 func TestTorusLinkFailureBreaksRoutesThrough(t *testing.T) {
 	ic := NewInterconnect(NewTorus2D(4, 1), 4)
 	defer ic.Close()
@@ -297,6 +322,24 @@ func TestCloseReleasesBlockedSenders(t *testing.T) {
 	}
 	if err := ic.Send(mkPkt(0, 1, proto.KindRequest)); err != ErrClosed {
 		t.Fatalf("send after close: %v", err)
+	}
+}
+
+// TestCloseDrainsLanes: batches still queued when the fabric closes go back
+// to the proto pool instead of staying in the lanes.
+func TestCloseDrainsLanes(t *testing.T) {
+	ic := NewInterconnect(NewCrossbar(2), 4)
+	for i := 0; i < 3; i++ {
+		if err := ic.SendBatch(mkBatch(0, 1, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ic.Send(mkPkt(1, 0, proto.KindReply)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ic.Close()
+	if req, rpl := len(ic.Requests(1)), len(ic.Replies(0)); req != 0 || rpl != 0 {
+		t.Fatalf("%d request and %d reply batches left in the lanes after Close", req, rpl)
 	}
 }
 

@@ -50,6 +50,7 @@ type Interconnect struct {
 
 	mu                  sync.Mutex
 	linkDown            map[Link]bool
+	linksDown           atomic.Int32 // len(linkDown), written under mu: routeUp's lock-free fast path
 	watchers            []func(id core.NodeID, epoch uint64)
 	restoreWatchers     []func(id core.NodeID, epoch uint64)
 	linkWatchers        []func(a, b core.NodeID, epoch uint64)
@@ -93,8 +94,8 @@ func (ic *Interconnect) Nodes() int { return ic.n }
 // Topology returns the fabric topology.
 func (ic *Interconnect) Topology() Topology { return ic.topo }
 
-// Done returns a channel closed when the interconnect shuts down; RMC
-// pipelines select on it to terminate cleanly.
+// Done returns a channel closed when the interconnect shuts down (see the
+// Transport contract: control-path waiters only).
 func (ic *Interconnect) Done() <-chan struct{} { return ic.done }
 
 // RouteCrosses reports whether the deterministic route src→dst traverses
@@ -114,13 +115,14 @@ func (ic *Interconnect) RouteCrosses(src, dst, a, b core.NodeID) bool {
 	return false
 }
 
-// routeUp verifies every link of the deterministic route is healthy.
+// routeUp verifies every link of the deterministic route is healthy. With
+// no link down — every send of a healthy fabric — it takes no lock.
 func (ic *Interconnect) routeUp(src, dst core.NodeID) bool {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	if len(ic.linkDown) == 0 {
+	if ic.linksDown.Load() == 0 {
 		return true
 	}
+	ic.mu.Lock()
+	defer ic.mu.Unlock()
 	for _, l := range ic.topo.Route(src, dst) {
 		if ic.linkDown[l] {
 			return false
@@ -182,6 +184,9 @@ func (ic *Interconnect) Account(kind proto.Kind, packets, wireBytes int) {
 // the destination lane is out of credits and fails fast if the destination
 // (or any link on the route) is down or the fabric closed. On success the
 // receiver owns the batch; on failure ownership stays with the caller.
+//
+// With a credit free the send touches the lane alone; only a sender that is
+// out of credits, and about to park anyway, waits on the fabric-wide done.
 func (ic *Interconnect) SendBatch(b *proto.Batch) error {
 	kind, packets, wire := b.Kind(), b.Len(), b.WireSize()
 	lane, err := ic.LaneFor(kind, b.Src(), b.Dst())
@@ -190,11 +195,15 @@ func (ic *Interconnect) SendBatch(b *proto.Batch) error {
 	}
 	select {
 	case lane <- b:
-		ic.Account(kind, packets, wire)
-		return nil
-	case <-ic.done:
-		return ErrClosed
+	default:
+		select {
+		case lane <- b:
+		case <-ic.done:
+			return ErrClosed
+		}
 	}
+	ic.Account(kind, packets, wire)
+	return nil
 }
 
 // TrySendBatch is SendBatch without blocking: if the destination lane has
@@ -389,6 +398,7 @@ func (ic *Interconnect) FailLink(a, b core.NodeID) {
 	ic.mu.Lock()
 	ic.linkDown[Link{From: a, To: b}] = true
 	ic.linkDown[Link{From: b, To: a}] = true
+	ic.linksDown.Store(int32(len(ic.linkDown)))
 	// The epoch bump is ordered after the link goes down: a transaction
 	// stamped with the new epoch either fails its send against the dead
 	// link or was issued after a restore.
@@ -412,6 +422,7 @@ func (ic *Interconnect) FailLink(a, b core.NodeID) {
 func (ic *Interconnect) FailLinkDirected(a, b core.NodeID) {
 	ic.mu.Lock()
 	ic.linkDown[Link{From: a, To: b}] = true
+	ic.linksDown.Store(int32(len(ic.linkDown)))
 	epoch := ic.linkEpoch.Add(1)
 	ws := append([]func(core.NodeID, core.NodeID, uint64){}, ic.linkWatchers...)
 	ic.mu.Unlock()
@@ -433,6 +444,7 @@ func (ic *Interconnect) RestoreLink(a, b core.NodeID) {
 	}
 	delete(ic.linkDown, Link{From: a, To: b})
 	delete(ic.linkDown, Link{From: b, To: a})
+	ic.linksDown.Store(int32(len(ic.linkDown)))
 	epoch := ic.linkEpoch.Add(1)
 	ws := append([]func(core.NodeID, core.NodeID, uint64){}, ic.linkRestoreWatchers...)
 	ic.mu.Unlock()
@@ -442,10 +454,17 @@ func (ic *Interconnect) RestoreLink(a, b core.NodeID) {
 }
 
 // Close shuts the fabric down, releasing blocked senders and signalling
-// consumers through Done.
+// Done, then returns the batches still queued in the lanes to the proto
+// pool, so a process that boots clusters repeatedly does not strand
+// packets. (A send already past LaneFor's closed check can still land
+// afterwards: at most one batch per sender, left to the GC.)
 func (ic *Interconnect) Close() {
 	if ic.closed.Swap(true) {
 		return
 	}
 	close(ic.done)
+	for i := range ic.req {
+		ic.drain(ic.req[i])
+		ic.drain(ic.rpl[i])
+	}
 }

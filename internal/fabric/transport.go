@@ -31,12 +31,21 @@ import (
 //     delivered asynchronously to every registered watcher.
 //   - Requests/Replies may only be consumed for nodes the transport hosts
 //     locally (every node, for the Interconnect).
+//   - Done() is for control-path waiters only: goroutines that park for an
+//     unbounded time anyway (a sender out of credits, a health-event
+//     forwarder, the RMC's one shutdown watcher). It is one channel for the
+//     whole fabric, and a select locks every channel it lists, so Done() in
+//     a select on the per-operation path serialises every node of the
+//     process on one runtime mutex. Per-operation waits use channels owned
+//     by one RMC (its lanes, doorbells and stop channel); the RMC forwards
+//     Done() into those.
 type Transport interface {
 	// Nodes reports the number of fabric endpoints.
 	Nodes() int
 	// Topology returns the fabric topology.
 	Topology() Topology
-	// Done returns a channel closed when the transport shuts down.
+	// Done returns a channel closed when the transport shuts down
+	// (control-path waiters only, see above).
 	Done() <-chan struct{}
 	// RouteCrosses reports whether the deterministic route src→dst
 	// traverses the directed link a→b (independent of link health).

@@ -57,7 +57,6 @@ type QP struct {
 	busy        []bool // slot in flight: set at post, cleared at completion
 	scratch     *Buffer
 	outstanding int
-	spin        int
 
 	// Reusable completion callbacks, so the synchronous operations and
 	// batch waits allocate nothing in steady state.
@@ -94,7 +93,7 @@ func (q *QP) WaitForSlot(cb Completion) (int, error) {
 			q.cbs[slot] = cb
 			return slot, nil
 		}
-		if err := q.processOne(true); err != nil {
+		if err := q.processOne(); err != nil {
 			return 0, err
 		}
 	}
@@ -244,36 +243,22 @@ func (q *QP) Poll() int {
 // remains outstanding — rmc_drain_cq from Fig. 4.
 func (q *QP) DrainCQ() error {
 	for q.outstanding > 0 {
-		if err := q.processOne(true); err != nil {
+		if err := q.processOne(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// processOne handles one completion; with block set it spin-polls the CQ
-// (the paper's applications poll the completion queue) before parking on
-// the doorbell.
-func (q *QP) processOne(block bool) error {
-	for {
-		if e, ok := q.st.CQ.Poll(); ok {
-			q.handle(e)
-			return nil
-		}
-		if !block {
-			return nil
-		}
-		q.spin++
-		if q.spin < 64 {
-			continue
-		}
-		q.spin = 0
-		select {
-		case <-q.st.CQDoorbell:
-		case <-q.ctx.node.cluster.ic.Done():
-			return ErrClusterClosed
-		}
+// processOne waits for one completion (polling the CQ, then parking on the
+// QP's own doorbell — see emu.QPState.WaitCQ) and handles it.
+func (q *QP) processOne() error {
+	e, ok := q.st.WaitCQ()
+	if !ok {
+		return ErrClusterClosed
 	}
+	q.handle(e)
+	return nil
 }
 
 func (q *QP) handle(e qpring.CQEntry) {
@@ -322,7 +307,7 @@ func (q *QP) execSyncCb(issue func(slot int) error, done *bool, opErr *error, cb
 		return err
 	}
 	for !*done {
-		if err := q.processOne(true); err != nil {
+		if err := q.processOne(); err != nil {
 			return err
 		}
 	}
